@@ -190,8 +190,10 @@ type adaptive_row = {
   a_unknowns : int;
   accepted : int;
   rejected : int;
+  advances : int; (* engine solves, from the transient.advances counter *)
   factorizations : int;
   auto_s : float;
+  max_err : float; (* max |dV| against a run at rtol / 100 *)
 }
 
 let ladder_spec segments =
@@ -199,8 +201,7 @@ let ladder_spec segments =
     length = 0.011; segments }
 
 (* One step-driven RLC ladder, simulated to 1 ns with both fixed-step
-   backends (identical trajectories, wall-clock compared) and once
-   adaptively with the automatic backend. *)
+   backends (identical trajectories, wall-clock compared). *)
 let ladder_case ~segments ~steps =
   let open Rlc_circuit in
   let nl, _src, far = Ladder.driven_line (ladder_spec segments) in
@@ -219,28 +220,52 @@ let ladder_case ~segments ~steps =
   Array.iteri
     (fun i v -> max_diff := Float.max !max_diff (Float.abs (v -. vb.(i))))
     vd;
-  let ra, auto_s =
-    wall (fun () ->
-        Transient.run_adaptive ~rtol:1e-4 nl ~t_end ~dt_max:(t_end /. 64.0)
-          ~probes)
+  {
+    segments;
+    unknowns;
+    steps;
+    dense_s;
+    banded_s;
+    speedup = dense_s /. banded_s;
+    max_diff = !max_diff;
+  }
+
+let m_advances = Rlc_instr.Metrics.counter "transient.advances"
+
+(* The same ladder simulated adaptively (rtol 1e-4, automatic backend)
+   with recording on, so the advance counter gives the solves it made;
+   its accuracy is the largest far-node deviation, at its own time
+   points, from a run at a hundredth of the tolerance.  Run on the
+   calling domain only: the counter is process-wide. *)
+let adaptive_ladder_case ~segments =
+  let open Rlc_circuit in
+  let nl, _src, far = Ladder.driven_line (ladder_spec segments) in
+  let t_end = 1e-9 and rtol = 1e-4 in
+  let probe = Transient.Node_v far in
+  let run rtol () =
+    Transient.simulate_adaptive
+      ~config:{ Transient.Config.default with rtol }
+      nl ~t_end ~dt_max:(t_end /. 64.0) ~probes:[ probe ]
   in
-  ( {
-      segments;
-      unknowns;
-      steps;
-      dense_s;
-      banded_s;
-      speedup = dense_s /. banded_s;
-      max_diff = !max_diff;
-    },
-    {
-      a_segments = segments;
-      a_unknowns = unknowns;
-      accepted = Transient.steps_taken ra;
-      rejected = Transient.rejected_steps ra;
-      factorizations = Transient.lu_factorizations ra;
-      auto_s;
-    } )
+  let was_recording = Rlc_instr.Control.enabled () in
+  Rlc_instr.Control.set_enabled true;
+  let before = Rlc_instr.Metrics.value m_advances in
+  let ra, auto_s = wall (run rtol) in
+  let advances = Rlc_instr.Metrics.value m_advances -. before in
+  Rlc_instr.Control.set_enabled was_recording;
+  let reference = Transient.get (run (rtol /. 100.0) ()) probe in
+  let s = Transient.stats ra in
+  {
+    a_segments = segments;
+    a_unknowns = Netlist.node_count nl;
+    accepted = s.Transient.Stats.steps;
+    rejected = s.Transient.Stats.rejected_steps;
+    advances = int_of_float advances;
+    factorizations = s.Transient.Stats.lu_factorizations;
+    auto_s;
+    max_err =
+      Rlc_waveform.Measure.max_deviation (Transient.get ra probe) ~reference;
+  }
 
 let write_bench_json path (fixed, adaptive) =
   let oc = open_out path in
@@ -249,8 +274,9 @@ let write_bench_json path (fixed, adaptive) =
   write_meta oc ~jobs;
   field
     "  \"description\": \"Dense vs banded MNA backend on step-driven RLC \
-     ladders (Transient.run, trapezoidal; adaptive rtol=1e-4, auto \
-     backend). Times in seconds.\",\n";
+     ladders (Transient.run, trapezoidal; adaptive: LTE control, \
+     rtol=1e-4, auto backend, max_abs_err_v against rtol=1e-6). Times \
+     in seconds.\",\n";
   field "  \"fixed_step\": [\n";
   List.iteri
     (fun i (r : fixed_row) ->
@@ -268,10 +294,10 @@ let write_bench_json path (fixed, adaptive) =
     (fun i (r : adaptive_row) ->
       field
         "    {\"segments\": %d, \"unknowns\": %d, \"accepted_steps\": %d, \
-         \"rejected_steps\": %d, \"lu_factorizations\": %d, \"auto_s\": \
-         %.6f}%s\n"
-        r.a_segments r.a_unknowns r.accepted r.rejected r.factorizations
-        r.auto_s
+         \"rejected_steps\": %d, \"advances\": %d, \"lu_factorizations\": \
+         %d, \"auto_s\": %.6f, \"max_abs_err_v\": %.3e}%s\n"
+        r.a_segments r.a_unknowns r.accepted r.rejected r.advances
+        r.factorizations r.auto_s r.max_err
         (if i = List.length adaptive - 1 then "" else ","))
     adaptive;
   field "  ]\n}\n";
@@ -284,12 +310,11 @@ let run_ladder_scaling ~sizes ~steps ~json =
   (* sizes are independent cases; when several worker domains run them
      concurrently the per-case wall clocks contend, but the dense/banded
      ratio and the trajectory cross-check stay meaningful *)
-  let rows =
+  let fixed =
     Rlc_parallel.Pool.map_list pool
       (fun segments -> ladder_case ~segments ~steps)
       sizes
   in
-  let fixed = List.map fst rows and adaptive = List.map snd rows in
   List.iter
     (fun (r : fixed_row) ->
       Printf.printf "%8d %9d %7d %12.5f %12.5f %8.1fx %12.3e\n" r.segments
@@ -298,12 +323,19 @@ let run_ladder_scaling ~sizes ~steps ~json =
         failwith "ladder scaling: dense and banded backends disagree")
     fixed;
   print_newline ();
-  Printf.printf "%8s %9s %10s %10s %8s %12s\n" "segments" "unknowns"
-    "accepted" "rejected" "LU" "auto [s]";
+  let adaptive =
+    List.map (fun segments -> adaptive_ladder_case ~segments) sizes
+  in
+  Printf.printf "%8s %9s %10s %10s %10s %8s %12s %12s\n" "segments" "unknowns"
+    "accepted" "rejected" "advances" "LU" "auto [s]" "max |dV|";
   List.iter
     (fun (r : adaptive_row) ->
-      Printf.printf "%8d %9d %10d %10d %8d %12.5f\n" r.a_segments r.a_unknowns
-        r.accepted r.rejected r.factorizations r.auto_s)
+      Printf.printf "%8d %9d %10d %10d %10d %8d %12.5f %12.3e\n" r.a_segments
+        r.a_unknowns r.accepted r.rejected r.advances r.factorizations r.auto_s
+        r.max_err;
+      (* the work-count gate: one solve per attempt, no hidden ones *)
+      if r.advances <> r.accepted + r.rejected then
+        failwith "ladder scaling: adaptive advances <> accepted + rejected")
     adaptive;
   (match json with
   | Some path ->

@@ -56,11 +56,8 @@ let summarize deck result probe =
       (Rlc_waveform.Measure.rms w)
   end
 
-let run_transient deck pool csv =
-  let config =
-    { Rlc_circuit.Transient.Config.default with pool = Some pool }
-  in
-  let result = Rlc_circuit.Parser.run ~config deck in
+let run_transient deck csv =
+  let result = Rlc_circuit.Parser.run deck in
   Printf.printf "transient: %d steps\n\n"
     (Rlc_circuit.Transient.steps_taken result);
   List.iter (summarize deck result) deck.Rlc_circuit.Parser.probes;
@@ -176,7 +173,7 @@ let run () file ac jobs csv =
       (match deck.Rlc_circuit.Parser.title with
       | Some t -> Printf.printf "* %s\n" t
       | None -> ());
-      if ac then run_ac deck pool csv else run_transient deck pool csv
+      if ac then run_ac deck pool csv else run_transient deck csv
 
 let cmd =
   Cmd.v

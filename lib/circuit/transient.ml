@@ -25,7 +25,6 @@ module Config = struct
     rtol : float;
     atol : float;
     dt_min : float option;
-    pool : Rlc_parallel.Pool.t option;
     plan_hint : Solver.plan option;
   }
 
@@ -39,7 +38,6 @@ module Config = struct
       rtol = 1e-3;
       atol = 1e-6;
       dt_min = None;
-      pool = None;
       plan_hint = None;
     }
 end
@@ -696,6 +694,26 @@ let simulate ?config netlist ~t_end ~dt ~probes =
 
 (* ---------------- adaptive driver ---------------- *)
 
+(* Trapezoidal local-truncation-error control.  One step of [dt] errs
+   by dt^3/12 * x''', where x''' is 6 times the third divided
+   difference of the last three accepted node-voltage vectors and the
+   candidate one, so checking a step costs no extra solve.  The t = 0
+   point never enters the history: a source that jumps there makes it
+   inconsistent with the solution that follows.  [lte_safety] scales
+   the estimate before it meets [atol + rtol |v|]: 6 is what it takes to
+   be at least as accurate as step doubling (one dt step against two
+   dt/2 steps, at three solves per attempt) at equal rtol, which the
+   accuracy test in test_circuit.ml holds it to. *)
+let lte_safety = 6.0
+
+(* Grow one level (dt doubles, so the estimate grows 8x) only when the
+   doubled step would still use at most half of the tolerance. *)
+let lte_grow = 1.0 /. 16.0
+
+(* The estimate scales as dt^3, so each level down divides it by 8. *)
+let levels_to_shrink err =
+  Int.max 1 (int_of_float (Float.ceil (Float.log2 err /. 3.0)))
+
 let simulate_adaptive_impl ?(config = Config.default) netlist ~t_end ~dt_max
     ~probes =
   let rtol = config.Config.rtol and atol = config.Config.atol in
@@ -711,21 +729,10 @@ let simulate_adaptive_impl ?(config = Config.default) netlist ~t_end ~dt_max
     invalid_arg "Transient.run_adaptive: bad dt_min";
   let eng = make_engine config netlist in
   validate_probes eng probes;
-  (* With a pool of capacity >= 2 the speculative full step of the
-     step-doubling control runs on a mirror engine (same netlist, same
-     ordering, hence bit-identical factors) in a second domain, while
-     this domain takes the two half steps.  The error estimate and
-     every committed state are the same floats either way. *)
-  let mirror =
-    match config.Config.pool with
-    | Some p when Rlc_parallel.Pool.domains p >= 2 ->
-        Some (p, make_engine config netlist)
-    | Some _ | None -> None
-  in
-  (* Step-doubling error control: one dt step vs two dt/2 steps, both
-     trapezoidal.  dt is tracked as a level k with dt = dt_max / 2^k,
-     so every step (except a final partial one reaching exactly t_end)
-     reuses a cached LU factorisation. *)
+  (* dt is tracked as a level k with dt = dt_max / 2^k, so every step
+     (except a final partial one reaching exactly t_end) reuses a cached
+     LU factorisation.  The run starts at the finest level and grows
+     from there once the history holds three points. *)
   let k_max =
     Int.max 0
       (int_of_float
@@ -737,76 +744,70 @@ let simulate_adaptive_impl ?(config = Config.default) netlist ~t_end ~dt_max
     times := t :: !times;
     List.iter (fun (p, acc) -> acc := probe_value eng p :: !acc) data
   in
+  let n = eng.n_nodes in
+  (* Running divided differences of the accepted history: [d1] is the
+     first one over the last two points, [d2] the second one over the
+     last three, and [ta] < [tb] < [!t] are the last three times.  An
+     attempt extends them by the candidate into [d1_new] and [d2_new],
+     which replace them when it is accepted.  The last point itself is
+     the [saved] state, so no history vectors are kept. *)
+  let d1 = ref (Array.make n 0.0) and d2 = ref (Array.make n 0.0) in
+  let d1_new = ref (Array.make n 0.0) and d2_new = ref (Array.make n 0.0) in
+  let swap a b =
+    let x = !a in
+    a := !b;
+    b := x
+  in
+  let ta = ref 0.0 and tb = ref 0.0 in
+  let n_hist = ref 0 in
   let t = ref 0.0 in
-  let level = ref (Int.min 4 k_max) in
+  let level = ref k_max in
   let steps = ref 0 and rejected = ref 0 in
-  let first = ref true in
   let saved = copy_state eng.state in
-  let v_full = Array.make eng.n_nodes 0.0 in
   while !t < t_end -. (1e-12 *. t_end) do
     let dt_level = Float.ldexp dt_max (- !level) in
     let remaining = t_end -. !t in
     (* only the last partial step may leave the dt_max/2^k grid *)
     let dt_now = if dt_level > remaining then remaining else dt_level in
     let t_next = !t +. dt_now in
-    let meth = if !first then Backward_euler else Trapezoidal in
+    let meth = if !steps = 0 then Backward_euler else Trapezoidal in
     blit_state ~src:eng.state ~dst:saved;
-    (match mirror with
-    | None ->
-        (* full step *)
-        advance eng meth dt_now t_next;
-        Array.blit eng.state.v 0 v_full 0 eng.n_nodes;
-        (* two half steps from the saved state *)
-        blit_state ~src:saved ~dst:eng.state;
-        advance eng meth (dt_now /. 2.0) (!t +. (dt_now /. 2.0));
-        advance eng
-          (if !first then Backward_euler else Trapezoidal)
-          (dt_now /. 2.0) t_next
-    | Some (p, meng) ->
-        blit_state ~src:eng.state ~dst:meng.state;
-        let (), () =
-          Rlc_parallel.Pool.both p
-            (fun () -> advance meng meth dt_now t_next)
-            (fun () ->
-              advance eng meth (dt_now /. 2.0) (!t +. (dt_now /. 2.0));
-              advance eng
-                (if !first then Backward_euler else Trapezoidal)
-                (dt_now /. 2.0) t_next)
-        in
-        Array.blit meng.state.v 0 v_full 0 eng.n_nodes);
-    (* error estimate over node voltages *)
+    advance eng meth dt_now t_next;
+    (* the largest node LTE over its tolerance *)
     let err = ref 0.0 in
-    for node = 1 to eng.n_nodes - 1 do
-      let scale = atol +. (rtol *. Float.abs eng.state.v.(node)) in
-      err :=
-        Float.max !err (Float.abs (v_full.(node) -. eng.state.v.(node)) /. scale)
-    done;
+    if !n_hist >= 1 then begin
+      let v = eng.state.v and x = saved.v in
+      let d1 = !d1 and d2 = !d2 and d1n = !d1_new and d2n = !d2_new in
+      let h1 = 1.0 /. dt_now in
+      let h2 = 1.0 /. (t_next -. !tb) and h3 = 1.0 /. (t_next -. !ta) in
+      let c = lte_safety *. 6.0 /. 12.0 *. dt_now *. dt_now *. dt_now in
+      for node = 1 to n - 1 do
+        d1n.(node) <- (v.(node) -. x.(node)) *. h1;
+        d2n.(node) <- (d1n.(node) -. d1.(node)) *. h2;
+        let d3 = (d2n.(node) -. d2.(node)) *. h3 in
+        let scale = atol +. (rtol *. Float.abs v.(node)) in
+        err := Float.max !err (c *. Float.abs d3 /. scale)
+      done;
+      (* estimates from an incomplete history are not used *)
+      if !n_hist < 3 then err := 0.0
+    end;
     if !err <= 1.0 || !level >= k_max then begin
-      (* accept the (more accurate) half-step state *)
       incr steps;
-      first := false;
+      ta := !tb;
+      tb := !t;
       t := t_next;
       record !t;
-      if !err < 0.25 then level := Int.max 0 (!level - 1)
-      else if !err > 0.75 then level := Int.min k_max (!level + 1)
+      swap d1 d1_new;
+      swap d2 d2_new;
+      if !n_hist < 3 then incr n_hist
+      else if !err < lte_grow then level := Int.max 0 (!level - 1)
     end
     else begin
       incr rejected;
       blit_state ~src:saved ~dst:eng.state;
-      level := Int.min k_max (!level + 1)
+      level := Int.min k_max (!level + levels_to_shrink !err)
     end
   done;
-  (* fold the mirror engine's diagnostics in, so the pooled run reports
-     the same amount of work (its cache is separate, so
-     lu_factorizations can exceed the sequential count) *)
-  (match mirror with
-  | Some (_, meng) ->
-      Array.iteri
-        (fun i v -> eng.histogram.(i) <- eng.histogram.(i) + v)
-        meng.histogram;
-      eng.nonconverged <- eng.nonconverged + meng.nonconverged;
-      eng.factorizations <- eng.factorizations + meng.factorizations
-  | None -> ());
   let time = Array.of_list (List.rev !times) in
   let r =
     {

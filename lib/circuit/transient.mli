@@ -65,14 +65,6 @@ module Config : sig
         (default 1e-6) *)
     dt_min : float option;  (** adaptive step floor
         (default [dt_max /. 4096.]) *)
-    pool : Rlc_parallel.Pool.t option;
-        (** when given with capacity >= 2, {!simulate_adaptive}
-            evaluates the speculative full step of its step-doubling
-            error control on a second domain, concurrently with the
-            two half steps.  Waveforms, accepted/rejected step counts
-            and final voltages are bit-identical with or without the
-            pool; only the {!lu_factorizations} diagnostic may differ
-            (the two engines keep separate caches). *)
     plan_hint : Rlc_numerics.Solver.plan option;
         (** a {!structure_plan} of a structurally identical deck
             (equal {!Netlist.structural_signature}): skips the
@@ -113,15 +105,22 @@ val simulate_adaptive :
   dt_max:float ->
   probes:probe list ->
   result
-(** Variable-step transient with step-doubling error control: each
-    candidate step is computed once at [dt] and once as two [dt/2]
-    trapezoidal steps; their per-node difference against
-    [atol + rtol * |v|] accepts, shrinks or grows the step.  Step
-    sizes are tracked as levels on the dt_max / 2^k grid (k bounded by
-    [dt_min]) so MNA factorisations are reused; only the final partial
-    step reaching exactly [t_end] may leave the grid.
+(** Variable-step transient with local-truncation-error control: every
+    attempt is one trapezoidal solve.  Its error is estimated per node
+    as dt^3/12 * x''', where x''' is 6 times the third divided
+    difference of the last three accepted node-voltage vectors and the
+    new one (the t = 0 point is left out, since a source may jump
+    there).  That estimate, times an internal safety factor, against
+    [atol + rtol * |v|] accepts or rejects the step and picks the next
+    one.  The run starts at the finest step and takes its first three
+    steps unchecked to fill the history; the first one is backward
+    Euler.  Step sizes are tracked as levels on the dt_max / 2^k grid
+    (k bounded by [dt_min]) so MNA factorisations are reused; only the
+    final partial step reaching exactly [t_end] may leave the grid, and
+    a step at the finest level is accepted whatever its estimate.
     The result's time axis is non-uniform; [rejected_steps] counts
-    error-control rollbacks. *)
+    error-control rollbacks, and the [transient.advances] counter, when
+    recording, grows by exactly accepted + rejected steps. *)
 
 val run :
   ?integration:integration ->

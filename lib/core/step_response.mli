@@ -15,6 +15,22 @@ val eval_stage : Stage.t -> float -> float
 val derivative : Pade.coeffs -> float -> float
 (** dv/dt in closed form (used by the Newton delay solver). *)
 
+type prepared
+(** The per-coefficient part of {!eval} and {!derivative}: the
+    near-critical test and either the repeated-root rate or the poles
+    with their residues.  A root-finder that evaluates one response at
+    many times prepares it once. *)
+
+val prepare : Pade.coeffs -> prepared
+(** Requires b2 > 0, as {!Poles.of_coeffs} does. *)
+
+val eval_prepared : prepared -> float -> float
+(** [eval_prepared (prepare cs) t] is bit-identical to [eval cs t]. *)
+
+val derivative_prepared : prepared -> float -> float
+(** [derivative_prepared (prepare cs) t] is bit-identical to
+    [derivative cs t]. *)
+
 val waveform : ?v0:float -> ?n:int -> Pade.coeffs -> t_end:float -> Rlc_waveform.Waveform.t
 (** Sampled response scaled to final value [v0] (default 1.0). *)
 

@@ -132,3 +132,27 @@ let rms_over_period ?level w =
         (Rlc_numerics.Stats.rms_sampled ~xs:(Waveform.times sliced)
            ~ys:(Waveform.values sliced))
   | _ -> None
+
+(* Both time axes ascend, so one merged walk finds every bracket: linear
+   in the two lengths, where a [Waveform.value_at] per sample would
+   search the reference from scratch each time. *)
+let max_deviation w ~reference =
+  let rt = Waveform.times reference and rv = Waveform.values reference in
+  let last = Array.length rt - 1 in
+  let j = ref 0 and worst = ref 0.0 in
+  Waveform.iter
+    (fun t v ->
+      while !j < last - 1 && rt.(!j + 1) <= t do
+        incr j
+      done;
+      let r =
+        if last = 0 || t <= rt.(0) then rv.(0)
+        else if t >= rt.(last) then rv.(last)
+        else begin
+          let u = (t -. rt.(!j)) /. (rt.(!j + 1) -. rt.(!j)) in
+          ((1.0 -. u) *. rv.(!j)) +. (u *. rv.(!j + 1))
+        end
+      in
+      worst := Float.max !worst (Float.abs (v -. r)))
+    w;
+  !worst

@@ -57,3 +57,9 @@ val rms : Waveform.t -> float
 val rms_over_period : ?level:float -> Waveform.t -> float option
 (** RMS restricted to an integral number of detected periods (at least
     one); falls back to [None] when no period is detectable. *)
+
+val max_deviation : Waveform.t -> reference:Waveform.t -> float
+(** Largest |w(t) - reference(t)| over the samples of [w], with the
+    reference interpolated linearly as {!Waveform.value_at} does (and
+    held constant outside its span): the error of a simulated waveform
+    against a finer one.  Linear in the two lengths. *)

@@ -582,10 +582,219 @@ let test_adaptive_validation () =
         (Transient.run_adaptive ~rtol:0.0 nl ~t_end:1e-6 ~dt_max:1e-8
            ~probes:[]))
 
-(* ---------------- solver backends & engine regressions ---------------- *)
+(* ---------------- Adaptive error control, prepared delay ---------------- *)
 
 let rlc_ladder_spec segments =
   { Ladder.r = 4400.0; l = 1.5e-6; c = 123.33e-12; length = 0.011; segments }
+
+(* The repeater stage the (h, k) optimiser picks for [node] at line
+   inductance [l]: a unit step through the repeater (Rs/k, Cp k) into a
+   12-segment ladder of length h loaded by C0 k.  Returns the deck, its
+   far node, and the two-pole delay tau. *)
+let optimal_stage node l =
+  let module Node = Rlc_tech.Node in
+  let module Driver = Rlc_tech.Driver in
+  let opt = Rlc_core.Rlc_opt.optimize node ~l in
+  let d = node.Node.driver and k = opt.Rlc_core.Rlc_opt.k in
+  let nl = Netlist.create () in
+  let src = Netlist.fresh_node nl in
+  let drv = Netlist.fresh_node nl in
+  let far = Netlist.fresh_node nl in
+  Netlist.add_vsource nl src Netlist.ground (Stimulus.Dc 1.0);
+  Netlist.add_resistor nl src drv (Driver.scaled_rs d ~k);
+  Netlist.add_capacitor nl drv Netlist.ground (Driver.scaled_cp d ~k);
+  Ladder.make nl
+    {
+      Ladder.r = node.Node.r;
+      l;
+      c = node.Node.c;
+      length = opt.Rlc_core.Rlc_opt.h;
+      segments = 12;
+    }
+    ~from_node:drv ~to_node:far;
+  Netlist.add_capacitor nl far Netlist.ground (Driver.scaled_c0 d ~k);
+  (nl, far, opt.Rlc_core.Rlc_opt.tau)
+
+(* Relative 50 % delay error and largest waveform error (at the
+   adaptive run's own time points) against a fixed-step trapezoidal
+   reference of [ref_steps] steps. *)
+let adaptive_errors ~rtol ~ref_steps nl far ~t_end ~dt_max =
+  let probe = Transient.Node_v far in
+  let reference =
+    Transient.get
+      (Transient.simulate nl ~t_end ~dt:(t_end /. float_of_int ref_steps)
+         ~probes:[ probe ])
+      probe
+  in
+  let config = { Transient.Config.default with rtol } in
+  let w =
+    Transient.get
+      (Transient.simulate_adaptive ~config nl ~t_end ~dt_max ~probes:[ probe ])
+      probe
+  in
+  let module Measure = Rlc_waveform.Measure in
+  let delay w = Measure.threshold_delay w ~fraction:0.5 ~v_final:1.0 in
+  match (delay w, delay reference) with
+  | Some a, Some b ->
+      (Float.abs (a -. b) /. b, Measure.max_deviation w ~reference)
+  | _ -> Alcotest.fail "no 50 % crossing"
+
+(* The bounds are what step doubling (one dt step against two dt/2
+   steps, the controller this one replaced) measured on exactly these
+   cases and references, rounded up in the third digit:
+
+     case                      rtol   delay err   waveform err
+     6 repeater stages         1e-3   3.54e-4     8.13e-3
+     6 repeater stages         1e-5   1.56e-4     3.07e-4
+     50-segment ladder         1e-3   1.02e-4     5.39e-2
+     50-segment ladder         1e-5   6.93e-7     4.54e-3
+
+   The LTE control must be no less accurate at equal rtol. *)
+let test_adaptive_no_less_accurate () =
+  let check name ~rtol (d_bound, w_bound) errs =
+    let d = List.fold_left (fun a (d, _) -> Float.max a d) 0.0 errs in
+    let w = List.fold_left (fun a (_, w) -> Float.max a w) 0.0 errs in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s rtol %g: delay err %.3e <= %.3e" name rtol d d_bound)
+      true (d <= d_bound);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s rtol %g: waveform err %.3e <= %.3e" name rtol w
+         w_bound)
+      true (w <= w_bound)
+  in
+  let stages =
+    List.concat_map
+      (fun node ->
+        List.map (fun l -> optimal_stage node l) [ 0.0; 1.5e-6; 3e-6 ])
+      [ Rlc_tech.Presets.node_250nm; Rlc_tech.Presets.node_100nm ]
+  in
+  let ladder, _, ladder_far = Ladder.driven_line (rlc_ladder_spec 50) in
+  List.iter
+    (fun (rtol, stage_bounds, ladder_bounds) ->
+      check "stages" ~rtol stage_bounds
+        (List.map
+           (fun (nl, far, tau) ->
+             adaptive_errors ~rtol ~ref_steps:40_000 nl far ~t_end:(4.0 *. tau)
+               ~dt_max:(tau /. 25.0))
+           stages);
+      check "ladder" ~rtol ladder_bounds
+        [
+          adaptive_errors ~rtol ~ref_steps:50_000 ladder ladder_far ~t_end:1e-9
+            ~dt_max:(1e-9 /. 64.0);
+        ])
+    [
+      (1e-3, (3.54e-4, 8.13e-3), (1.02e-4, 5.39e-2));
+      (1e-5, (1.56e-4, 3.07e-4), (6.93e-7, 4.54e-3));
+    ]
+
+(* Every attempt is one solve: the advance counter moves by exactly the
+   accepted plus the rejected steps, on a deck that forces rejections. *)
+let test_adaptive_one_advance_per_attempt () =
+  let module M = Rlc_instr.Metrics in
+  let advances = M.counter "transient.advances" in
+  let nl = Netlist.create () in
+  let input = Netlist.fresh_node nl in
+  let output = Netlist.fresh_node nl in
+  Netlist.add_vsource nl input Netlist.ground
+    (Stimulus.Step { v0 = 0.0; v1 = 1.2; t_delay = 4e-9; t_rise = 0.5e-9 });
+  Netlist.add_inverter nl ~input ~output
+    (Devices.inverter ~r_on:100.0 ~c_in:1e-15 ~c_out:50e-15 ~vdd:1.2
+       ~t_transition:50e-12 ());
+  let was = Rlc_instr.Control.enabled () in
+  Rlc_instr.Control.set_enabled true;
+  let before = M.value advances in
+  let r =
+    Transient.simulate_adaptive nl ~t_end:10e-9 ~dt_max:1e-9
+      ~probes:[ Transient.Node_v output ]
+  in
+  let counted = M.value advances -. before in
+  Rlc_instr.Control.set_enabled was;
+  let s = Transient.stats r in
+  Alcotest.(check bool)
+    "some steps rejected" true
+    (s.Transient.Stats.rejected_steps > 0);
+  Alcotest.(check int) "advances = accepted + rejected"
+    (s.Transient.Stats.steps + s.Transient.Stats.rejected_steps)
+    (int_of_float counted)
+
+(* The delay root-finder evaluates a prepared step response; it must
+   return the same bits as the per-t evaluation it replaced, which
+   recomputed the poles and residues at every t. *)
+let test_delay_prepared_bit_identical () =
+  let open Rlc_core in
+  let open Rlc_numerics in
+  let near_critical cs =
+    Float.abs (Pade.discriminant cs) <= 1e-7 *. cs.Pade.b1 *. cs.Pade.b1
+  in
+  let eval cs t =
+    if t = 0.0 then 0.0
+    else if near_critical cs then begin
+      let a = cs.Pade.b1 /. (2.0 *. cs.Pade.b2) in
+      1.0 -. ((1.0 +. (a *. t)) *. Float.exp (-.a *. t))
+    end
+    else begin
+      let { Poles.s1; s2 } = Poles.of_coeffs cs in
+      let open Cx in
+      let denom = s2 -: s1 in
+      Cx.real_part_checked ~tol:1e-6
+        (of_float 1.0
+        -: (s2 /: denom *: exp (scale t s1))
+        +: (s1 /: denom *: exp (scale t s2)))
+    end
+  in
+  let derivative cs t =
+    if near_critical cs then begin
+      let a = cs.Pade.b1 /. (2.0 *. cs.Pade.b2) in
+      a *. a *. t *. Float.exp (-.a *. t)
+    end
+    else begin
+      let { Poles.s1; s2 } = Poles.of_coeffs cs in
+      let open Cx in
+      let denom = s2 -: s1 in
+      Cx.real_part_checked ~tol:1e-6
+        (s1 *: s2 /: denom *: (exp (scale t s2) -: exp (scale t s1)))
+    end
+  in
+  let per_t_delay ~f cs =
+    let residual t = eval cs t -. f in
+    let lo, hi =
+      Roots.bracket_first residual ~t0:0.0 ~dt:(cs.Pade.b1 /. 32.0)
+    in
+    if lo = hi then lo
+    else
+      Roots.newton_bracketed ~tol:1e-13 ~f:residual ~df:(derivative cs) lo hi
+  in
+  let st = Random.State.make [| 20010618 |] in
+  let between lo hi =
+    lo *. Float.exp (Random.State.float st (Float.log (hi /. lo)))
+  in
+  let stages =
+    List.init 1000 (fun i ->
+        let node =
+          if i mod 2 = 0 then Rlc_tech.Presets.node_250nm
+          else Rlc_tech.Presets.node_100nm
+        in
+        Pade.coeffs
+          (Stage.of_node node ~l:(Random.State.float st 5e-6)
+             ~h:(between 1e-4 3e-2) ~k:(between 1.0 1000.0)))
+  in
+  (* exactly critical damping takes the repeated-root branch *)
+  let critical =
+    List.init 50 (fun _ ->
+        let b1 = between 1e-12 1e-9 in
+        { Pade.b1; b2 = b1 *. b1 /. 4.0 })
+  in
+  List.iteri
+    (fun i cs ->
+      List.iter
+        (fun f ->
+          let expected = per_t_delay ~f cs and got = Delay.of_coeffs ~f cs in
+          if Int64.bits_of_float expected <> Int64.bits_of_float got then
+            Alcotest.failf "case %d, f = %g: %.17g <> %.17g" i f expected got)
+        [ 0.5; 0.1; 0.9 ])
+    (stages @ critical)
+
+(* ---------------- solver backends & engine regressions ---------------- *)
 
 let test_banded_dense_agree_on_ladder () =
   (* the tentpole cross-check: identical trajectories from the dense
@@ -1072,6 +1281,12 @@ let () =
           Alcotest.test_case "refines on switching edges" `Quick
             test_adaptive_refines_on_edges;
           Alcotest.test_case "validation" `Quick test_adaptive_validation;
+          Alcotest.test_case "no less accurate than step doubling" `Quick
+            test_adaptive_no_less_accurate;
+          Alcotest.test_case "one advance per attempt" `Quick
+            test_adaptive_one_advance_per_attempt;
+          Alcotest.test_case "prepared delay bit-identical" `Quick
+            test_delay_prepared_bit_identical;
         ] );
       ( "solver-backends",
         [

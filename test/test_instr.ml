@@ -273,57 +273,37 @@ let step_ladder segments =
     ~from_node:src ~to_node:far;
   (nl, far)
 
-let fixed_waveform ~domains ~recording =
+let fixed_waveform ~recording =
   let open Rlc_circuit in
   with_recording recording (fun () ->
       let nl, far = step_ladder 12 in
-      let config =
-        {
-          Transient.Config.default with
-          pool = Some (Pool.create ~domains ());
-        }
-      in
       let r =
-        Transient.simulate ~config nl ~t_end:1e-9 ~dt:1e-12
+        Transient.simulate nl ~t_end:1e-9 ~dt:1e-12
           ~probes:[ Transient.Node_v far ]
       in
       Array.to_list
         (Rlc_waveform.Waveform.values (Transient.get r (Transient.Node_v far))))
 
-let adaptive_waveform ~domains ~recording =
+let adaptive_waveform ~recording =
   let open Rlc_circuit in
   with_recording recording (fun () ->
       let nl, far = step_ladder 12 in
-      let config =
-        {
-          Transient.Config.default with
-          pool = Some (Pool.create ~domains ());
-        }
-      in
       let r =
-        Transient.simulate_adaptive ~config nl ~t_end:1e-9 ~dt_max:1e-11
+        Transient.simulate_adaptive nl ~t_end:1e-9 ~dt_max:1e-11
           ~probes:[ Transient.Node_v far ]
       in
       Array.to_list
         (Rlc_waveform.Waveform.values (Transient.get r (Transient.Node_v far))))
 
 let test_fixed_identity () =
-  List.iter
-    (fun domains ->
-      check_bits
-        (Printf.sprintf "fixed step, %d domains" domains)
-        (fixed_waveform ~domains ~recording:false)
-        (fixed_waveform ~domains ~recording:true))
-    [ 1; 4 ]
+  check_bits "fixed step"
+    (fixed_waveform ~recording:false)
+    (fixed_waveform ~recording:true)
 
 let test_adaptive_identity () =
-  List.iter
-    (fun domains ->
-      check_bits
-        (Printf.sprintf "adaptive, %d domains" domains)
-        (adaptive_waveform ~domains ~recording:false)
-        (adaptive_waveform ~domains ~recording:true))
-    [ 1; 4 ]
+  check_bits "adaptive"
+    (adaptive_waveform ~recording:false)
+    (adaptive_waveform ~recording:true)
 
 (* ---------------- spans + trace export ---------------- *)
 
